@@ -108,7 +108,10 @@ class AsyncEngine {
               cursor.fetch_add(1, std::memory_order_relaxed);
           if (i >= active.size()) break;
           const VertexId u = active[i];
-          queued_.reset(u);  // may be re-queued by a later improvement
+          // Atomic clear: other workers test_and_set the same word.
+          // It must precede the property load so an improvement whose
+          // enqueue saw the bit still set is read here instead.
+          queued_.reset_atomic(u);
           ++my_relax;
 
           // Freshest value — another thread may lower it concurrently;

@@ -13,17 +13,21 @@
 //     words that can be nonzero.
 //
 // Invariant (maintained by every mutator): a nonzero data word always
-// has its summary bit set. The converse may be momentarily false only
-// inside reset() before it prunes; externally, summary bit clear
-// implies data word zero, which is what makes the skip test sound.
+// has its summary bit set, so summary bit clear implies data word zero,
+// which is what makes the skip test sound. The converse need not hold:
+// a set summary bit over a zero word (left by reset_atomic(), which
+// never prunes) only makes probes conservative.
 //
 // Concurrency: data-word writes follow the same ownership rules as the
-// flat bitmask (set() for word-exclusive writers, set_atomic() for
-// concurrent ones). Summary bits are shared at a 4096-vertex
-// granularity — coarser than the Vertex phase's 64-vertex thread
-// ranges — so set()/set_atomic() publish them with a check-then-
-// atomic-or: one relaxed fetch_or the first time a data word becomes
-// nonzero, a plain read afterwards.
+// flat bitmask — set()/reset() for word-exclusive writers,
+// set_atomic()/test_and_set_atomic()/reset_atomic() for concurrent
+// ones. Summary bits are shared at a 4096-vertex granularity — coarser
+// than the Vertex phase's 64-vertex thread ranges — so every set
+// publishes its summary bit with a check-then-atomic-or: one relaxed
+// fetch_or the first time a data word becomes nonzero, a relaxed
+// atomic load afterwards. Only the single-threaded reset() prunes
+// summary bits: a concurrent prune could race a concurrent set's
+// publish and leave a nonzero word behind a clear summary bit.
 #pragma once
 
 #include <cstdint>
@@ -87,13 +91,24 @@ class HierarchicalFrontier {
 
   /// Atomic test-and-set; true when this call flipped the bit 0 -> 1
   /// (the caller owns the transition). Used by the async worklist.
+  /// Release pairs with reset_atomic()'s acquire: a clearer that
+  /// observes this set also observes the writes made before it.
   bool test_and_set_atomic(VertexId v) noexcept {
     std::atomic_ref<std::uint64_t> ref(words_[v >> 6]);
     const std::uint64_t bit = std::uint64_t{1} << (v & 63);
     const bool owned =
-        (ref.fetch_or(bit, std::memory_order_relaxed) & bit) == 0;
+        (ref.fetch_or(bit, std::memory_order_release) & bit) == 0;
     publish_summary(v >> 6);
     return owned;
+  }
+
+  /// Atomic clear of one bit for callers racing concurrent sets on the
+  /// same word (the async worklist's dequeue). It leaves the summary
+  /// bit set even when the word empties — see the class comment; the
+  /// next clear_all() or Vertex-phase rebuild tightens it.
+  void reset_atomic(VertexId v) noexcept {
+    std::atomic_ref<std::uint64_t> ref(words_[v >> 6]);
+    ref.fetch_and(~(std::uint64_t{1} << (v & 63)), std::memory_order_acquire);
   }
 
   /// Single-threaded clear of one bit; prunes the summary bit when the
@@ -225,13 +240,14 @@ class HierarchicalFrontier {
   }
 
  private:
-  /// Publishes data word `w`'s summary bit. Plain read first: after the
-  /// first publisher wins the fetch_or, every later set() in the same
-  /// word is branch-only.
+  /// Publishes data word `w`'s summary bit. Relaxed load first (the
+  /// same plain mov on x86-64, but not a data race against concurrent
+  /// publishers): after the first publisher wins the fetch_or, every
+  /// later set() in the same word is branch-only.
   void publish_summary(std::uint64_t w) noexcept {
     const std::uint64_t bit = std::uint64_t{1} << (w & 63);
-    if ((summary_[w >> 6] & bit) == 0) {
-      std::atomic_ref<std::uint64_t> ref(summary_[w >> 6]);
+    std::atomic_ref<std::uint64_t> ref(summary_[w >> 6]);
+    if ((ref.load(std::memory_order_relaxed) & bit) == 0) {
       ref.fetch_or(bit, std::memory_order_relaxed);
     }
   }

@@ -289,8 +289,11 @@ TEST_P(GatedEngineSweep, CcLabelsIdenticalToUngated) {
 
 TEST_P(GatedEngineSweep, PageRankUnaffectedByGatingFlag) {
   // PageRank has kUsesFrontier == false: the gate must be a no-op and
-  // the ranks bit-identical to an ungated run.
-  const EngineConfig& c = GetParam();
+  // the ranks bit-identical to an ungated run. Traditional's per-vector
+  // atomic adds land in a scheduling-dependent order past one worker,
+  // so it runs single-threaded (determinism contract, DESIGN.md §5).
+  EngineConfig c = GetParam();
+  if (c.mode == PullParallelism::kTraditional) c.threads = 1;
   EdgeList list = rmat_graph();
   list.canonicalize();
   const Graph g = Graph::build(EdgeList(list));

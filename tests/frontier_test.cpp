@@ -254,5 +254,42 @@ TEST(HierarchicalFrontier, TestAndSetAtomicReportsOwnership) {
   EXPECT_TRUE(f.word_maybe_nonzero(1));
 }
 
+TEST(HierarchicalFrontier, ResetAtomicClearsBitButNotSummary) {
+  HierarchicalFrontier f(128);
+  f.set(90);
+  f.set(91);
+  f.reset_atomic(90);
+  EXPECT_FALSE(f.test(90));
+  EXPECT_TRUE(f.test(91));
+  // The word empties, but the summary bit stays set: conservative, not
+  // unsound, and the queries that read data words still answer exactly.
+  f.reset_atomic(91);
+  EXPECT_TRUE(f.word_maybe_nonzero(1));
+  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.count(), 0u);
+  EXPECT_TRUE(f.test_and_set_atomic(90));
+  expect_summary_covers_words(f);
+}
+
+TEST(HierarchicalFrontier, ConcurrentTestAndSetAndResetAtomicLoseNothing) {
+  // The async worklist's pattern: threads set and clear their own bits
+  // in shared words. Each bit has one owner, so every test-and-set must
+  // find it clear; a lost clear (or a clobbered set) would show up as a
+  // failed claim or a leftover member.
+  HierarchicalFrontier f(4096);
+  ThreadPool pool(4);
+  std::vector<std::uint64_t> failed_claims(pool.size(), 0);
+  pool.run([&](unsigned tid) {
+    for (int round = 0; round < 50; ++round) {
+      for (VertexId v = tid; v < 4096; v += 4) {
+        if (!f.test_and_set_atomic(v)) ++failed_claims[tid];
+      }
+      for (VertexId v = tid; v < 4096; v += 4) f.reset_atomic(v);
+    }
+  });
+  for (std::uint64_t n : failed_claims) EXPECT_EQ(n, 0u);
+  EXPECT_EQ(f.count(), 0u);
+}
+
 }  // namespace
 }  // namespace grazelle
